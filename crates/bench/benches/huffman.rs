@@ -1,11 +1,13 @@
 //! Criterion bench: encode/decode throughput of the simplified tree vs
 //! full canonical Huffman — the software cost the paper's hardware unit
-//! eliminates (Sec. III-B / IV-B).
+//! eliminates (Sec. III-B / IV-B) — plus the table-driven group decoder
+//! (`stream_group`) that deployment runs over the same simplified stream.
 
 use bench::block_kernel;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use kc_core::bitstream::{BitReader, BitWriter};
 use kc_core::huffman::{FullHuffman, SimplifiedTree, TreeConfig};
+use kc_core::stream_decode::{GroupDecoder, SEQS_PER_GROUP};
 use kc_core::{BitSeq, FreqTable};
 use std::hint::black_box;
 
@@ -84,6 +86,21 @@ fn bench_huffman(c: &mut Criterion) {
                 acc += simp.decode(&mut r).unwrap().value() as u32;
             }
             acc
+        })
+    });
+    // The table-driven group decoder over the same stream, read as
+    // 64-channel rows: symbol decode plus the 64x9 channel-pack transpose.
+    g.bench_function("stream_group", |b| {
+        b.iter(|| {
+            GroupDecoder::from_parts(
+                &simp,
+                &simp_bytes,
+                simp_bits,
+                seqs.len() / SEQS_PER_GROUP,
+                SEQS_PER_GROUP,
+            )
+            .collect_packed()
+            .unwrap()
         })
     });
     g.bench_function("full", |b| {

@@ -63,10 +63,18 @@
 //! scheduler drift as a phantom thread-scaling difference. On a host with
 //! at least 8 cores every ladder entry is a genuine measurement.
 //! Results are printed as a table and written to
-//! `BENCH_perf.json` (schema `bnnkc-perfsuite/v6`; override the path with
+//! `BENCH_perf.json` (schema `bnnkc-perfsuite/v7`; override the path with
 //! `--out PATH`), then the file is re-read through [`bench::perfjson`] and
 //! structurally validated, so CI's `--smoke` run proves the tracked
 //! artifact stays parseable.
+//!
+//! `bnnkc-perfsuite/v7` adds a `decode` entry and object to
+//! `compressed_e2e`: the table-driven stream decode of every record
+//! alone, its ns per 9-bit sequence, and beside it the ns per sequence
+//! `simcpu`'s decode unit is modelled at (`decode_per_cycle` sequences
+//! per cycle at the core clock). The enforced
+//! `compressed_stream_1t_speedup` floor rises from 1.15 to 5.0 with
+//! that decoder.
 //!
 //! `bnnkc-perfsuite/v6` adds the streaming direct-conv lowering to the
 //! conv section (`engine_stream`, pinned via `ConvMode::Stream`), labels
@@ -150,6 +158,14 @@ const INTEGRITY_FLOOR: f64 = 1.0 / 1.10;
 /// 6.19x at the bump; the floor leaves ~5% headroom for host frequency
 /// drift between full runs.
 const E2E_1T_FLOOR: f64 = 5.9;
+
+/// Floor for the enforced compressed end-to-end criterion: streamed
+/// deploy+forward vs offline decompress-then-pack deploy+forward at one
+/// thread. Raised from 1.15 by the table-driven stream decoder, which
+/// measured 6.0-8.9x over eight full runs on a 2-vCPU AVX-512 Xeon (the
+/// bit-serial decoder it replaced: 2.9-4.6x on the same host). The floor
+/// sits ~17% under the lowest run.
+const COMPRESSED_STREAM_FLOOR: f64 = 5.0;
 
 /// Ceiling for the enforced serving tail criterion: at the top client
 /// concurrency, coalescing may stretch p99 latency to at most this
@@ -242,6 +258,17 @@ struct DedupStats {
     table_hit_rate: f64,
 }
 
+/// Stream-decode cost of a deployed container (schema v7): the
+/// table-driven decoder's ns per 9-bit sequence over every record, next to
+/// the ns per sequence `simcpu`'s hardware decode unit is modelled at
+/// (`1 / (decode_per_cycle * freq_ghz)`).
+struct DecodeStats {
+    seqs: usize,
+    ns_per_seq: f64,
+    decode_per_cycle: f64,
+    simcpu_ns_per_seq: f64,
+}
+
 /// Serving-tier statistics (schema v5): the server's resolved coalescing
 /// batch capacity and the per-request latency distribution tail at the
 /// top client concurrency, which the enforced tail criterion gates on.
@@ -261,6 +288,8 @@ struct Section {
     entries: Vec<Entry>,
     /// Dedup statistics, recorded by `compressed_e2e` only.
     dedup: Option<DedupStats>,
+    /// Stream-decode cost, recorded by `compressed_e2e` only.
+    decode: Option<DecodeStats>,
     /// Serving statistics, recorded by `serving` only.
     serving: Option<ServingStats>,
 }
@@ -420,6 +449,7 @@ fn bench_gemm(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         baseline_ns,
         entries,
         dedup: None,
+        decode: None,
         serving: None,
     }
 }
@@ -509,6 +539,7 @@ fn bench_conv(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         baseline_ns,
         entries,
         dedup: None,
+        decode: None,
         serving: None,
     }
 }
@@ -548,6 +579,7 @@ fn bench_e2e(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         baseline_ns,
         entries,
         dedup: None,
+        decode: None,
         serving: None,
     }
 }
@@ -588,6 +620,23 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
     let dedup = DedupStats {
         ratio: total as f64 / unique as f64,
         table_hit_rate: 1.0 - unique as f64 / total as f64,
+    };
+
+    // Decode alone: every record through the table-driven stream decoder
+    // into packed lane words, priced per sequence next to the modelled
+    // hardware decode unit.
+    let seqs: usize = containers.iter().map(|c| c.filters * c.channels).sum();
+    let decode_ns = time_ns(iters, || {
+        for c in &containers {
+            black_box(c.decode_packed().expect("stream decode"));
+        }
+    });
+    let cpu = simcpu::config::CpuConfig::default();
+    let decode = DecodeStats {
+        seqs,
+        ns_per_seq: decode_ns / seqs as f64,
+        decode_per_cycle: cpu.decode_unit.decode_per_cycle,
+        simcpu_ns_per_seq: 1.0 / (cpu.decode_unit.decode_per_cycle * cpu.freq_ghz),
     };
 
     // The dedup mode is pinned per entry (never read from the ambient
@@ -661,6 +710,13 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
     // deploy+forward baseline, so compare them to each other instead).
     let mut entries = vec![
         Entry {
+            name: "decode",
+            threads: 1,
+            ns: decode_ns,
+            backend: "cpu",
+            kernel: "table-stream-decode".into(),
+        },
+        Entry {
             name: "offline_deploy",
             threads: 1,
             ns: time_ns(iters, || {
@@ -727,6 +783,7 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         baseline_ns,
         entries,
         dedup: Some(dedup),
+        decode: Some(decode),
         serving: None,
     }
 }
@@ -779,6 +836,7 @@ fn bench_arch_e2e(smoke: bool, seed: u64) -> Section {
         baseline_ns,
         entries,
         dedup: None,
+        decode: None,
         serving: None,
     }
 }
@@ -843,6 +901,7 @@ fn bench_integrity(smoke: bool, seed: u64) -> Section {
         baseline_ns,
         entries,
         dedup: None,
+        decode: None,
         serving: None,
     }
 }
@@ -950,6 +1009,7 @@ fn bench_parallel_scaling(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         baseline_ns,
         entries,
         dedup: None,
+        decode: None,
         serving: None,
     }
 }
@@ -1130,6 +1190,7 @@ fn bench_serving(smoke: bool, seed: u64) -> Section {
         baseline_ns: base.ns_per_req,
         entries,
         dedup: None,
+        decode: None,
         serving: Some(ServingStats {
             capacity,
             concurrency: TOP_CONCURRENCY,
@@ -1221,12 +1282,13 @@ fn criteria(sections: &[Section], smoke: bool) -> Vec<Criterion> {
             enforced: !smoke,
         },
         // Enforced: compression must pay for itself end-to-end. On the
-        // wide container the streamed deploy+forward beats the offline
-        // decompress-then-pack deployment by well over the 1.15 floor;
-        // smoke containers are kilobytes, too small to gate on.
+        // wide container the streamed deploy+forward must beat the
+        // offline decompress-then-pack deployment by the table-driven
+        // decoder's floor; smoke containers are kilobytes, too small to
+        // gate on.
         Criterion {
             name: "compressed_stream_1t_speedup",
-            target: 1.15,
+            target: COMPRESSED_STREAM_FLOOR,
             measured: comp.baseline_ns / comp.entry_ns("stream_deploy_forward", 1),
             enforced: !smoke,
         },
@@ -1314,7 +1376,7 @@ fn criteria(sections: &[Section], smoke: bool) -> Vec<Criterion> {
 fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &str) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"bnnkc-perfsuite/v6\",\n");
+    s.push_str("  \"schema\": \"bnnkc-perfsuite/v7\",\n");
     s.push_str(&format!("  \"mode\": \"{}\",\n", perfjson::escape(mode)));
     s.push_str(&format!(
         "  \"threads_available\": {},\n",
@@ -1392,6 +1454,14 @@ fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &s
                 d.ratio, d.table_hit_rate
             ));
         }
+        // v7: the compressed section prices stream decode per sequence
+        // next to the modelled hardware decode unit.
+        if let Some(d) = &sec.decode {
+            s.push_str(&format!(
+                "      \"decode\": {{\"seqs\": {}, \"ns_per_seq\": {:.3}, \"simcpu_decode_per_cycle\": {}, \"simcpu_ns_per_seq\": {:.3}}},\n",
+                d.seqs, d.ns_per_seq, d.decode_per_cycle, d.simcpu_ns_per_seq
+            ));
+        }
         // v5: the serving section records its resolved batch capacity
         // and the latency tail the enforced criteria gate on.
         if let Some(sv) = &sec.serving {
@@ -1438,7 +1508,7 @@ fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &s
 
 /// Structural validation of the emitted document (CI's `--smoke` gate).
 fn validate(doc: &perfjson::Value) -> Result<(), String> {
-    if doc.get("schema").and_then(|v| v.as_str()) != Some("bnnkc-perfsuite/v6") {
+    if doc.get("schema").and_then(|v| v.as_str()) != Some("bnnkc-perfsuite/v7") {
         return Err("missing or wrong schema tag".into());
     }
     if doc
@@ -1501,6 +1571,16 @@ fn validate(doc: &perfjson::Value) -> Result<(), String> {
             }
             if !(0.0..=1.0).contains(&hit) {
                 return Err(format!("compressed_e2e: bad table_hit_rate {hit}"));
+            }
+            // v7: and its per-sequence decode cost beside the model's.
+            let d = sec
+                .get("decode")
+                .ok_or("compressed_e2e: missing decode stats (v7)")?;
+            for field in ["seqs", "ns_per_seq", "simcpu_ns_per_seq"] {
+                let v = d.get(field).and_then(|v| v.as_f64()).unwrap_or(-1.0);
+                if !(v.is_finite() && v > 0.0) {
+                    return Err(format!("compressed_e2e: bad decode {field} {v}"));
+                }
             }
         }
         // v5: the serving section must carry its stats, and the tail
@@ -1654,6 +1734,12 @@ fn main() {
         }
     }
     print!("{}", table.render());
+    if let Some(d) = sections.iter().find_map(|sec| sec.decode.as_ref()) {
+        println!(
+            "decode: {:.2} ns/seq software over {} seqs vs {:.3} ns/seq simcpu decode unit ({} seq/cycle)",
+            d.ns_per_seq, d.seqs, d.simcpu_ns_per_seq, d.decode_per_cycle
+        );
+    }
 
     let written = emit_json(&sections, &crits, mode, &out_path);
     let parsed = match perfjson::parse(&written) {
@@ -1667,7 +1753,7 @@ fn main() {
         eprintln!("FAIL: emitted {out_path} is malformed: {e}");
         std::process::exit(1);
     }
-    println!("wrote {out_path} (validated, schema bnnkc-perfsuite/v6)");
+    println!("wrote {out_path} (validated, schema bnnkc-perfsuite/v7)");
 
     let mut failed = false;
     for c in &crits {

@@ -16,8 +16,52 @@
 //! Groups are emitted in stream order — filter-major, lanes ascending —
 //! which is the exact order [`crate::codec::KernelCodec::compress`] wrote
 //! the codewords, so decoding is a single forward pass over the stream.
+//!
+//! # Table-driven symbol core
+//!
+//! Like the hardware unit, the decoder resolves a whole codeword in one
+//! step instead of one bit at a time. Per record it builds small tables
+//! from the [`SimplifiedTree`]: per node the code length, index width,
+//! table length and offset into one flat table of every node's sequences
+//! (at most 512 entries — no `2^maxlen` lookup table, which at the
+//! container's 23-bit maximum code length would be megabytes). One symbol
+//! step is then:
+//!
+//! 1. load a 64-bit big-endian **window** at byte `pos / 8` and shift out
+//!    the `pos % 8` bits already consumed, leaving at least 57 valid bits
+//!    — more than any legal codeword;
+//! 2. the **node** is the window's count of leading ones (the chain tree's
+//!    prefix is `node` ones then a zero); a count at or past the node
+//!    count is corrupt;
+//! 3. the **index** is the next `index_bits[node]` bits; an index at or
+//!    past the node's table length is corrupt;
+//! 4. shift the codeword out of the window and advance `pos` by the
+//!    node's code length.
+//!
+//! One window serves as many codewords as it always holds (`57 /` the
+//! longest code length), and code lengths sit one byte per node in a
+//! single `u64`, so the loop-carried chain — leading ones, length, shift
+//! — never waits on a memory load.
+//!
+//! Bounds are checked once per group: when every codeword of the group
+//! fits before the stream limit at the longest code length and the last
+//! 8-byte load stays inside the slice, the group runs unchecked; groups
+//! near the end of the stream take a checked path with a zero-padded load
+//! and a per-symbol limit check. The final "no bits left over" check runs
+//! once the last group is out.
+//!
+//! Each group of decoded sequences is channel-packed by a word-parallel
+//! 64×9 bit transpose: the sequences split into low-byte and bit-8 byte
+//! arrays, and each of the nine lane words gathers eight channels' bits at
+//! a time with one multiply (`(x >> k) & 0x0101…01` times
+//! `0x0102040810204080`, top byte).
+//!
+//! The bit-serial [`SimplifiedTree::decode`] over a
+//! [`crate::bitstream::BitReader`] stays separate and untouched: it is
+//! the oracle path behind [`crate::container::Container::decode_kernel`]
+//! and [`crate::codec::CompressedKernel::decompress`], so every check built on
+//! those (`bnnkc verify`, `run --offline`) is independent of this core.
 
-use crate::bitstream::BitReader;
 use crate::container::Container;
 use crate::error::{KcError, Result};
 use crate::huffman::SimplifiedTree;
@@ -30,6 +74,13 @@ pub const SEQS_PER_GROUP: usize = LANE_BITS;
 
 /// Packed words per group: one per 3×3 kernel position.
 pub const WORDS_PER_GROUP: usize = 9;
+
+/// Most nodes a simplified tree can have ([`crate::huffman::TreeConfig`]).
+const MAX_NODES: usize = 8;
+
+/// Longest codeword [`crate::bitstream::BitWriter`] can emit; a 64-bit
+/// window always holds one.
+const MAX_CODE_LEN: u32 = 32;
 
 /// One channel-packed group of decoded sequences: the nine lane words the
 /// paper's packing unit hands the compute pipeline.
@@ -47,12 +98,155 @@ pub struct PackedGroup {
     pub words: [u64; WORDS_PER_GROUP],
 }
 
+/// Decode parameters of one tree node — the hardware's uncompressed-table
+/// bank base and bounds for that node.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeEntry {
+    /// Mask of the index width (`(1 << index_bits) - 1`).
+    index_mask: u32,
+    /// Start of the node's sequences in the flat table.
+    offset: u32,
+    /// Sequences in the node's table; a larger index is corrupt.
+    table_len: u32,
+}
+
+/// Per-record decode tables built once from a [`SimplifiedTree`].
+#[derive(Debug, Clone)]
+struct DecodeTables {
+    /// Nodes in the tree; a prefix of this many ones is corrupt.
+    nodes: u32,
+    /// Longest code length over all nodes (the per-group bound).
+    max_len: usize,
+    /// Code length of node `i` in byte `i` — the hardware's length table,
+    /// read with a shift so the loop-carried length never waits on a
+    /// memory load.
+    lens: u64,
+    /// Codewords one window always holds: `57 / max_len`.
+    per_window: usize,
+    entries: [NodeEntry; MAX_NODES],
+    /// Every node's sequences, node-major in index order.
+    flat: Vec<u16>,
+}
+
+impl DecodeTables {
+    fn new(tree: &SimplifiedTree) -> Self {
+        let nodes = tree.config().nodes();
+        let mut entries = [NodeEntry::default(); MAX_NODES];
+        let mut flat = Vec::with_capacity(tree.assigned());
+        let (mut lens, mut max_len) = (0u64, 0usize);
+        for (node, e) in entries.iter_mut().enumerate().take(nodes) {
+            let table = tree.table(node);
+            // No writer emits a code longer than MAX_CODE_LEN: clamp its
+            // length and give it no entries, so every hit is corrupt.
+            let (len, table_len) = match u32::from(tree.code_len(node)) {
+                len if len > MAX_CODE_LEN => (MAX_CODE_LEN, 0),
+                len => (len, table.len() as u32),
+            };
+            *e = NodeEntry {
+                index_mask: (1u32 << (len - node as u32 - 1)) - 1,
+                offset: flat.len() as u32,
+                table_len,
+            };
+            lens |= u64::from(len) << (8 * node);
+            max_len = max_len.max(len as usize);
+            flat.extend(table.iter().map(|s| s.value()));
+        }
+        DecodeTables {
+            nodes: nodes as u32,
+            max_len,
+            lens,
+            per_window: 57 / max_len,
+            entries,
+            flat,
+        }
+    }
+
+    /// Decode the codeword at the top of `window`: `(sequence, length)`.
+    #[inline(always)]
+    fn symbol(&self, window: u64) -> Result<(u16, u32)> {
+        let node = window.leading_ones();
+        if node >= self.nodes {
+            return Err(corrupt("prefix of all ones matches no node"));
+        }
+        let len = (self.lens >> (8 * node)) as u8 as u32;
+        let e = self.entries[node as usize & (MAX_NODES - 1)];
+        let idx = (window >> (64 - len)) as u32 & e.index_mask;
+        if idx >= e.table_len {
+            return Err(index_beyond(idx, node));
+        }
+        Ok((self.flat[(e.offset + idx) as usize], len))
+    }
+}
+
+#[cold]
+fn corrupt(msg: &str) -> KcError {
+    KcError::CorruptStream(msg.into())
+}
+
+#[cold]
+fn index_beyond(idx: u32, node: u32) -> KcError {
+    KcError::CorruptStream(format!("index {idx} beyond node {node} table"))
+}
+
+/// The 64-bit big-endian window at bit `pos`: the 8 bytes from `pos / 8`
+/// with the `pos % 8` already-consumed bits shifted out.
+#[inline(always)]
+fn window(stream: &[u8], pos: usize) -> u64 {
+    let at = pos >> 3;
+    let bytes: [u8; 8] = stream[at..at + 8].try_into().expect("8-byte window");
+    u64::from_be_bytes(bytes) << (pos & 7)
+}
+
+/// [`window`] for the last bytes of a stream: bytes past the slice read
+/// as zero.
+fn window_padded(stream: &[u8], pos: usize) -> u64 {
+    let tail = stream.get(pos >> 3..).unwrap_or(&[]);
+    let n = tail.len().min(8);
+    let mut bytes = [0u8; 8];
+    bytes[..n].copy_from_slice(&tail[..n]);
+    u64::from_be_bytes(bytes) << (pos & 7)
+}
+
+/// Gather bit `bit` of each of the 8 bytes of `x` into one byte (byte `i`
+/// of `x` lands in bit `i`).
+#[inline(always)]
+fn gather_bit(x: u64, bit: u32) -> u64 {
+    ((x >> bit) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Channel-pack up to 64 decoded sequences into the nine lane words:
+/// bit `j` of word `p` is bit `8 - p` of `seqs[j]` (natural mapping, MSB
+/// = position (0,0)). Channels past `seqs.len()` stay zero.
+fn transpose(seqs: &[u16]) -> [u64; WORDS_PER_GROUP] {
+    let mut lo = [0u8; SEQS_PER_GROUP];
+    let mut hi = [0u8; SEQS_PER_GROUP];
+    for ((l, h), &s) in lo.iter_mut().zip(&mut hi).zip(seqs) {
+        *l = s as u8;
+        *h = (s >> 8) as u8;
+    }
+    let mut words = [0u64; WORDS_PER_GROUP];
+    for (c, (l, h)) in lo.chunks_exact(8).zip(hi.chunks_exact(8)).enumerate() {
+        let l = u64::from_le_bytes(l.try_into().expect("8 bytes"));
+        let h = u64::from_le_bytes(h.try_into().expect("8 bytes"));
+        let shift = 8 * c;
+        words[0] |= gather_bit(h, 0) << shift;
+        for (p, word) in words.iter_mut().enumerate().skip(1) {
+            *word |= gather_bit(l, (WORDS_PER_GROUP - 1 - p) as u32) << shift;
+        }
+    }
+    words
+}
+
 /// A forward-only decoder that walks a container's Huffman stream and
 /// emits channel-packed groups.
 #[derive(Debug, Clone)]
 pub struct GroupDecoder<'a> {
-    tree: &'a SimplifiedTree,
-    reader: BitReader<'a>,
+    tables: DecodeTables,
+    stream: &'a [u8],
+    /// Next bit position.
+    pos: usize,
+    /// Payload bits (`stream_bits`); the rest of the last byte is padding.
+    limit: usize,
     filters: usize,
     channels: usize,
     lanes: usize,
@@ -78,15 +272,18 @@ impl<'a> GroupDecoder<'a> {
     ///
     /// Panics if `stream_bits` exceeds the stream's length in bits.
     pub fn from_parts(
-        tree: &'a SimplifiedTree,
+        tree: &SimplifiedTree,
         stream: &'a [u8],
         stream_bits: usize,
         filters: usize,
         channels: usize,
     ) -> Self {
+        assert!(stream_bits <= stream.len() * 8, "limit beyond buffer");
         GroupDecoder {
-            tree,
-            reader: BitReader::with_limit(stream, stream_bits),
+            tables: DecodeTables::new(tree),
+            stream,
+            pos: 0,
+            limit: stream_bits,
             filters,
             channels,
             lanes: lanes_for(channels),
@@ -104,6 +301,63 @@ impl<'a> GroupDecoder<'a> {
         self.next
     }
 
+    /// Sequences in the next group (64, or fewer for a tail lane).
+    fn next_group_len(&self) -> usize {
+        let lane = self.next % self.lanes;
+        (self.channels - lane * LANE_BITS).min(SEQS_PER_GROUP)
+    }
+
+    /// Decode the next `out.len()` codewords into `out` — the one symbol
+    /// loop every collector runs. The position only advances on success.
+    fn decode_run(&mut self, out: &mut [u16]) -> Result<()> {
+        let t = &self.tables;
+        let stream = self.stream;
+        let limit = self.limit;
+        let mut pos = self.pos;
+        let bound = pos + out.len() * t.max_len;
+        if bound <= limit && bound / 8 + 8 <= stream.len() {
+            // Every codeword ends before `bound`, so every load and every
+            // consumed bit is in range: no per-symbol checks.
+            for chunk in out.chunks_mut(t.per_window) {
+                let mut bits = window(stream, pos);
+                for s in chunk {
+                    let (seq, len) = t.symbol(bits)?;
+                    *s = seq;
+                    bits <<= len;
+                    pos += len as usize;
+                }
+            }
+        } else {
+            for s in out.iter_mut() {
+                if pos >= limit {
+                    return Err(corrupt("unexpected end of stream"));
+                }
+                let (seq, len) = t.symbol(window_padded(stream, pos))?;
+                if len as usize > limit - pos {
+                    return Err(KcError::CorruptStream(format!(
+                        "wanted {len} bits, {} remaining",
+                        limit - pos
+                    )));
+                }
+                *s = seq;
+                pos += len as usize;
+            }
+        }
+        self.pos = pos;
+        Ok(())
+    }
+
+    /// The completion check: the stream must be consumed exactly.
+    fn finish(&self) -> Result<()> {
+        let left = self.limit - self.pos;
+        if left != 0 {
+            return Err(KcError::CorruptStream(format!(
+                "{left} bits left over after the final group"
+            )));
+        }
+        Ok(())
+    }
+
     /// Decode the next group, or `Ok(None)` once the kernel is complete.
     ///
     /// On completion the decoder verifies the stream was consumed exactly
@@ -117,30 +371,19 @@ impl<'a> GroupDecoder<'a> {
     /// after the final group.
     pub fn decode_next(&mut self) -> Result<Option<PackedGroup>> {
         if self.next == self.num_groups() {
-            if self.reader.remaining() != 0 {
-                return Err(KcError::CorruptStream(format!(
-                    "{} bits left over after the final group",
-                    self.reader.remaining()
-                )));
-            }
+            self.finish()?;
             return Ok(None);
         }
         let (filter, lane) = (self.next / self.lanes, self.next % self.lanes);
-        let seqs = (self.channels - lane * LANE_BITS).min(SEQS_PER_GROUP);
-        let mut words = [0u64; WORDS_PER_GROUP];
-        for j in 0..seqs {
-            let seq = self.tree.decode(&mut self.reader)?.value();
-            // Natural mapping: bit 8 of the sequence is position (0,0).
-            for (p, word) in words.iter_mut().enumerate() {
-                *word |= (((seq >> (WORDS_PER_GROUP - 1 - p)) & 1) as u64) << j;
-            }
-        }
+        let seqs = self.next_group_len();
+        let mut buf = [0u16; SEQS_PER_GROUP];
+        self.decode_run(&mut buf[..seqs])?;
         self.next += 1;
         Ok(Some(PackedGroup {
             filter,
             lane,
             seqs,
-            words,
+            words: transpose(&buf[..seqs]),
         }))
     }
 
@@ -191,24 +434,18 @@ impl<'a> GroupDecoder<'a> {
             ));
         }
         let mut builder = BankBuilder::new(self.filters, self.channels);
-        let groups = self.num_groups();
-        while self.next < groups {
-            let lane = self.next % self.lanes;
-            let seqs = (self.channels - lane * LANE_BITS).min(SEQS_PER_GROUP);
-            for _ in 0..seqs {
-                let seq = self.tree.decode(&mut self.reader)?.value();
+        let mut buf = [0u16; SEQS_PER_GROUP];
+        while self.next < self.num_groups() {
+            let seqs = self.next_group_len();
+            self.decode_run(&mut buf[..seqs])?;
+            for &seq in &buf[..seqs] {
                 builder
                     .push(seq)
                     .map_err(|e| KcError::CorruptStream(format!("building bank: {e}")))?;
             }
             self.next += 1;
         }
-        if self.reader.remaining() != 0 {
-            return Err(KcError::CorruptStream(format!(
-                "{} bits left over after the final group",
-                self.reader.remaining()
-            )));
-        }
+        self.finish()?;
         builder
             .finish()
             .map_err(|e| KcError::CorruptStream(format!("building bank: {e}")))
@@ -352,5 +589,40 @@ mod tests {
         let mut dec = decoder_for(&ck);
         dec.decode_next().unwrap();
         assert!(dec.collect_bank().is_err());
+    }
+
+    #[test]
+    fn transpose_matches_per_bit_scatter() {
+        let seqs: Vec<u16> = (0..64u16).map(|j| (j * 73 + 5) % 512).collect();
+        for n in [0usize, 1, 7, 8, 63, 64] {
+            let mut expect = [0u64; WORDS_PER_GROUP];
+            for (j, &seq) in seqs[..n].iter().enumerate() {
+                for (p, word) in expect.iter_mut().enumerate() {
+                    *word |= u64::from((seq >> (WORDS_PER_GROUP - 1 - p)) & 1) << j;
+                }
+            }
+            assert_eq!(transpose(&seqs[..n]), expect, "{n} sequences");
+        }
+    }
+
+    #[test]
+    fn codes_beyond_the_writer_limit_decode_as_corrupt() {
+        use crate::huffman::TreeConfig;
+        use crate::BitSeq;
+        // A 2^40 capacity gives node 1 a 42-bit code no writer can emit.
+        let config = TreeConfig::with_capacities(vec![1, 1 << 40]).unwrap();
+        let ranked = [BitSeq::new(3).unwrap(), BitSeq::new(5).unwrap()];
+        let tree = SimplifiedTree::from_ranked(&ranked, config);
+        let stream = [0x80u8; 16];
+        let r = GroupDecoder::from_parts(&tree, &stream, 128, 1, 2).collect_packed();
+        assert!(matches!(r, Err(KcError::CorruptStream(_))), "{r:?}");
+    }
+
+    #[test]
+    fn padded_window_reads_zeros_past_the_slice() {
+        let stream = [0xA5u8, 0xFF, 0x01];
+        assert_eq!(window_padded(&stream, 0), 0xA5FF_0100_0000_0000);
+        assert_eq!(window_padded(&stream, 12), 0xF010_0000_0000_0000);
+        assert_eq!(window_padded(&stream, 24), 0);
     }
 }
