@@ -63,10 +63,18 @@
 //! scheduler drift as a phantom thread-scaling difference. On a host with
 //! at least 8 cores every ladder entry is a genuine measurement.
 //! Results are printed as a table and written to
-//! `BENCH_perf.json` (schema `bnnkc-perfsuite/v7`; override the path with
+//! `BENCH_perf.json` (schema `bnnkc-perfsuite/v8`; override the path with
 //! `--out PATH`), then the file is re-read through [`bench::perfjson`] and
 //! structurally validated, so CI's `--smoke` run proves the tracked
 //! artifact stays parseable.
+//!
+//! `bnnkc-perfsuite/v8` folds `conv_selection` to one row per geometry,
+//! with the autotuned and the forced lowering as fields (either may be
+//! null; v6/v7 listed a geometry once per source), and adds a
+//! `deploy_setup` object to `compressed_e2e`: the first forward of a
+//! fresh stream deploy, a warm forward of the same graph, and their
+//! difference — the lazy weight set-up a deploy pays. It is printed as
+//! a `deploy set-up:` line and validated, not gated.
 //!
 //! `bnnkc-perfsuite/v7` adds a `decode` entry and object to
 //! `compressed_e2e`: the table-driven stream decode of every record
@@ -269,6 +277,23 @@ struct DecodeStats {
     simcpu_ns_per_seq: f64,
 }
 
+/// Lazy set-up a fresh stream deploy pays on its first forward (schema
+/// v8): that forward minus a warm forward of the same graph, each the
+/// best of the section's reps. What remains is weight-form derivation
+/// (packing flat template kernels, im2col weight matrices, padding
+/// counts) and first-touch buffer sizing; the conv autotuner has
+/// already run by then.
+struct SetupStats {
+    first_forward_ns: f64,
+    warm_forward_ns: f64,
+}
+
+impl SetupStats {
+    fn setup_ns(&self) -> f64 {
+        self.first_forward_ns - self.warm_forward_ns
+    }
+}
+
 /// Serving-tier statistics (schema v5): the server's resolved coalescing
 /// batch capacity and the per-request latency distribution tail at the
 /// top client concurrency, which the enforced tail criterion gates on.
@@ -290,6 +315,8 @@ struct Section {
     dedup: Option<DedupStats>,
     /// Stream-decode cost, recorded by `compressed_e2e` only.
     decode: Option<DecodeStats>,
+    /// Lazy deploy set-up, recorded by `compressed_e2e` only.
+    setup: Option<SetupStats>,
     /// Serving statistics, recorded by `serving` only.
     serving: Option<ServingStats>,
 }
@@ -450,6 +477,7 @@ fn bench_gemm(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         entries,
         dedup: None,
         decode: None,
+        setup: None,
         serving: None,
     }
 }
@@ -540,6 +568,7 @@ fn bench_conv(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         entries,
         dedup: None,
         decode: None,
+        setup: None,
         serving: None,
     }
 }
@@ -580,6 +609,7 @@ fn bench_e2e(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         entries,
         dedup: None,
         decode: None,
+        setup: None,
         serving: None,
     }
 }
@@ -701,6 +731,21 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         }
     }
 
+    // Deploy set-up: the first forward of a fresh stream deploy against a
+    // warm forward of the same graph (the checks above ran the tuner).
+    let mut setup = SetupStats {
+        first_forward_ns: f64::INFINITY,
+        warm_forward_ns: f64::INFINITY,
+    };
+    for _ in 0..iters {
+        let m = deploy_streamed(&containers);
+        for slot in [&mut setup.first_forward_ns, &mut setup.warm_forward_ns] {
+            let t = Instant::now();
+            black_box(m.forward_batch(black_box(&inputs), &eng1).unwrap());
+            *slot = slot.min(t.elapsed().as_nanos() as f64);
+        }
+    }
+
     let baseline_ns = time_ns(iters, || {
         let m = deploy_offline(&containers);
         black_box(m.forward_batch(black_box(&inputs), &eng1).unwrap());
@@ -784,6 +829,7 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         entries,
         dedup: Some(dedup),
         decode: Some(decode),
+        setup: Some(setup),
         serving: None,
     }
 }
@@ -837,6 +883,7 @@ fn bench_arch_e2e(smoke: bool, seed: u64) -> Section {
         entries,
         dedup: None,
         decode: None,
+        setup: None,
         serving: None,
     }
 }
@@ -902,6 +949,7 @@ fn bench_integrity(smoke: bool, seed: u64) -> Section {
         entries,
         dedup: None,
         decode: None,
+        setup: None,
         serving: None,
     }
 }
@@ -1010,6 +1058,7 @@ fn bench_parallel_scaling(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         entries,
         dedup: None,
         decode: None,
+        setup: None,
         serving: None,
     }
 }
@@ -1191,6 +1240,7 @@ fn bench_serving(smoke: bool, seed: u64) -> Section {
         entries,
         dedup: None,
         decode: None,
+        setup: None,
         serving: Some(ServingStats {
             capacity,
             concurrency: TOP_CONCURRENCY,
@@ -1373,10 +1423,39 @@ fn criteria(sections: &[Section], smoke: bool) -> Vec<Criterion> {
     ]
 }
 
+/// The process's conv lowering decisions folded to one row per geometry,
+/// in first-seen order: `(geometry, autotuned, forced)`.
+type ConvSelectionRow = (
+    simd::ConvGeom,
+    Option<simd::ConvLowering>,
+    Option<simd::ConvLowering>,
+);
+
+fn conv_selection_rows() -> Vec<ConvSelectionRow> {
+    let mut rows: Vec<ConvSelectionRow> = Vec::new();
+    for ch in simd::conv_choices() {
+        let at = match rows.iter().position(|r| r.0 == ch.geom) {
+            Some(at) => at,
+            None => {
+                rows.push((ch.geom, None, None));
+                rows.len() - 1
+            }
+        };
+        let row = &mut rows[at];
+        let slot = if ch.source == simd::ChoiceSource::Forced {
+            &mut row.2
+        } else {
+            &mut row.1
+        };
+        *slot = Some(ch.lowering);
+    }
+    rows
+}
+
 fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &str) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"bnnkc-perfsuite/v7\",\n");
+    s.push_str("  \"schema\": \"bnnkc-perfsuite/v8\",\n");
     s.push_str(&format!("  \"mode\": \"{}\",\n", perfjson::escape(mode)));
     s.push_str(&format!(
         "  \"threads_available\": {},\n",
@@ -1406,27 +1485,29 @@ fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &s
         ));
     }
     s.push_str("  ],\n");
-    // v6: the conv autotuner's per-geometry lowering decisions made
-    // while the sections above ran (the conv section tunes the gated
-    // geometry before its ladder, so this is never empty).
+    // v8: the conv lowering decisions made while the sections above ran,
+    // one row per geometry (the conv section tunes the gated geometry
+    // before its ladder, so this is never empty): what the autotuner
+    // picked and what a pinned `ConvMode` ran, each null when absent.
     s.push_str("  \"conv_selection\": [\n");
-    let conv_choices = simd::conv_choices();
-    for (i, ch) in conv_choices.iter().enumerate() {
+    let rows = conv_selection_rows();
+    let name = |l: Option<simd::ConvLowering>| {
+        l.map_or("null".to_string(), |l| {
+            format!("\"{}\"", perfjson::escape(l.name()))
+        })
+    };
+    for (i, (g, autotuned, forced)) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"channels\": {}, \"filters\": {}, \"h\": {}, \"w\": {}, \"stride\": {}, \"pad\": {}, \"lowering\": \"{}\", \"source\": \"{}\"}}{}\n",
-            ch.geom.channels,
-            ch.geom.filters,
-            ch.geom.h,
-            ch.geom.w,
-            ch.geom.stride,
-            ch.geom.pad,
-            perfjson::escape(ch.lowering.name()),
-            if ch.source == simd::ChoiceSource::Forced {
-                "forced"
-            } else {
-                "autotuned"
-            },
-            if i + 1 == conv_choices.len() { "" } else { "," }
+            "    {{\"channels\": {}, \"filters\": {}, \"h\": {}, \"w\": {}, \"stride\": {}, \"pad\": {}, \"autotuned\": {}, \"forced\": {}}}{}\n",
+            g.channels,
+            g.filters,
+            g.h,
+            g.w,
+            g.stride,
+            g.pad,
+            name(*autotuned),
+            name(*forced),
+            if i + 1 == rows.len() { "" } else { "," }
         ));
     }
     s.push_str("  ],\n");
@@ -1460,6 +1541,16 @@ fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &s
             s.push_str(&format!(
                 "      \"decode\": {{\"seqs\": {}, \"ns_per_seq\": {:.3}, \"simcpu_decode_per_cycle\": {}, \"simcpu_ns_per_seq\": {:.3}}},\n",
                 d.seqs, d.ns_per_seq, d.decode_per_cycle, d.simcpu_ns_per_seq
+            ));
+        }
+        // v8: the compressed section records the lazy set-up a fresh
+        // stream deploy pays on its first forward.
+        if let Some(d) = &sec.setup {
+            s.push_str(&format!(
+                "      \"deploy_setup\": {{\"first_forward_ns\": {:.1}, \"warm_forward_ns\": {:.1}, \"setup_ns\": {:.1}}},\n",
+                d.first_forward_ns,
+                d.warm_forward_ns,
+                d.setup_ns()
             ));
         }
         // v5: the serving section records its resolved batch capacity
@@ -1508,7 +1599,7 @@ fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &s
 
 /// Structural validation of the emitted document (CI's `--smoke` gate).
 fn validate(doc: &perfjson::Value) -> Result<(), String> {
-    if doc.get("schema").and_then(|v| v.as_str()) != Some("bnnkc-perfsuite/v7") {
+    if doc.get("schema").and_then(|v| v.as_str()) != Some("bnnkc-perfsuite/v8") {
         return Err("missing or wrong schema tag".into());
     }
     if doc
@@ -1534,15 +1625,36 @@ fn validate(doc: &perfjson::Value) -> Result<(), String> {
     let conv_selection = doc
         .get("conv_selection")
         .and_then(|v| v.as_arr())
-        .ok_or("conv_selection must be an array (v6)")?;
+        .ok_or("conv_selection must be an array")?;
     if conv_selection.is_empty() {
         return Err("conv_selection must record at least one geometry".into());
     }
+    // v8: one row per geometry; each lowering field is a known lowering
+    // or null, and at least one is present.
+    let mut geoms = Vec::new();
     for ch in conv_selection {
-        let lowering = ch.get("lowering").and_then(|v| v.as_str()).unwrap_or("");
-        if !matches!(lowering, "stream" | "im2col") {
-            return Err(format!("conv_selection: bad lowering {lowering:?}"));
+        let mut present = 0;
+        for field in ["autotuned", "forced"] {
+            match ch.get(field) {
+                Some(perfjson::Value::Null) => {}
+                Some(v) if matches!(v.as_str(), Some("stream" | "im2col")) => present += 1,
+                v => return Err(format!("conv_selection: bad {field} lowering {v:?}")),
+            }
         }
+        if present == 0 {
+            return Err("conv_selection: a row with no lowering".into());
+        }
+        let geom: Vec<Option<f64>> = ["channels", "filters", "h", "w", "stride", "pad"]
+            .iter()
+            .map(|f| ch.get(f).and_then(|v| v.as_f64()))
+            .collect();
+        if geom.iter().any(Option::is_none) {
+            return Err("conv_selection: a row without its geometry".into());
+        }
+        if geoms.contains(&geom) {
+            return Err(format!("conv_selection: geometry {geom:?} listed twice"));
+        }
+        geoms.push(geom);
     }
     let sections = doc
         .get("sections")
@@ -1571,6 +1683,23 @@ fn validate(doc: &perfjson::Value) -> Result<(), String> {
             }
             if !(0.0..=1.0).contains(&hit) {
                 return Err(format!("compressed_e2e: bad table_hit_rate {hit}"));
+            }
+            // v8: and the lazy set-up of a fresh stream deploy.
+            let d = sec
+                .get("deploy_setup")
+                .ok_or("compressed_e2e: missing deploy_setup (v8)")?;
+            let field = |f: &str| d.get(f).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
+            let (first, warm) = (field("first_forward_ns"), field("warm_forward_ns"));
+            let setup = field("setup_ns");
+            if !(first > 0.0 && warm > 0.0 && first.is_finite() && warm.is_finite()) {
+                return Err(format!(
+                    "compressed_e2e: bad deploy_setup forwards {first} / {warm}"
+                ));
+            }
+            if !setup.is_finite() || (setup - (first - warm)).abs() > 1.0 {
+                return Err(format!(
+                    "compressed_e2e: deploy_setup setup_ns {setup} is not first - warm"
+                ));
             }
             // v7: and its per-sequence decode cost beside the model's.
             let d = sec
@@ -1734,6 +1863,14 @@ fn main() {
         }
     }
     print!("{}", table.render());
+    if let Some(d) = sections.iter().find_map(|sec| sec.setup.as_ref()) {
+        println!(
+            "deploy set-up: {:.3} ms first forward - {:.3} ms warm forward = {:.3} ms lazy set-up",
+            d.first_forward_ns / 1e6,
+            d.warm_forward_ns / 1e6,
+            d.setup_ns() / 1e6
+        );
+    }
     if let Some(d) = sections.iter().find_map(|sec| sec.decode.as_ref()) {
         println!(
             "decode: {:.2} ns/seq software over {} seqs vs {:.3} ns/seq simcpu decode unit ({} seq/cycle)",
@@ -1753,7 +1890,7 @@ fn main() {
         eprintln!("FAIL: emitted {out_path} is malformed: {e}");
         std::process::exit(1);
     }
-    println!("wrote {out_path} (validated, schema bnnkc-perfsuite/v7)");
+    println!("wrote {out_path} (validated, schema bnnkc-perfsuite/v8)");
 
     let mut failed = false;
     for c in &crits {

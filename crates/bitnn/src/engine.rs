@@ -80,7 +80,9 @@ pub struct KernelForms<'a> {
     /// Channel-packed kernel.
     pub packed: &'a PackedKernel,
     /// Cached im2col weight matrix (one row per filter, position-major
-    /// columns), used by the GEMM lowerings.
+    /// columns), used by the GEMM lowerings. Ignored when the channel
+    /// count fills whole lanes ([`lowered_is_packed`]): the GEMM then
+    /// reads the packed words directly.
     pub lowered: Option<&'a PackedMatrix>,
     /// Cached per-filter, per-position ones counts, used by the direct
     /// lowering's `-1`-padding closed form.
@@ -96,6 +98,15 @@ impl<'a> From<&'a PackedKernel> for KernelForms<'a> {
             pad_ones: None,
         }
     }
+}
+
+/// Whether a kernel with `channels` input channels needs no separate
+/// im2col weight matrix: when `channels` fills whole 64-bit lanes, each
+/// position's channels start on a word boundary of the position-major
+/// im2col row, so [`PackedKernel::words`] already is the row-major
+/// `[K, KH*KW*lanes]` matrix the GEMM reads.
+pub fn lowered_is_packed(channels: usize) -> bool {
+    channels.is_multiple_of(crate::LANE_BITS)
 }
 
 /// Reusable buffers for the engine's own lowering steps.
@@ -123,7 +134,8 @@ pub enum ConvPath {
     PointwiseGemm,
     /// Direct channel-packed convolution; wants `pad_ones`.
     Direct,
-    /// im2col lowering + GEMM; wants the `lowered` weight matrix.
+    /// im2col lowering + GEMM; wants the `lowered` weight matrix unless
+    /// the channel count fills whole lanes ([`lowered_is_packed`]).
     Im2col,
     /// Im2col-free streaming shifted-window convolution
     /// ([`crate::ops::streamconv`]); wants `pad_ones`, allocates nothing.
@@ -496,16 +508,23 @@ impl Engine {
                 },
             );
             let built;
-            let lk = match kernel.lowered {
-                Some(m) => m,
-                None => {
-                    built = im2col_kernel_packed(packed);
-                    &built
-                }
+            let bw = if lowered_is_packed(c) {
+                // Whole-lane channel blocks: the position-major columns of
+                // each filter row are exactly its packed position lanes.
+                packed.words()
+            } else {
+                let lk = match kernel.lowered {
+                    Some(m) => m,
+                    None => {
+                        built = im2col_kernel_packed(packed);
+                        &built
+                    }
+                };
+                debug_assert_eq!(lk.cols(), cols);
+                lk.words()
             };
-            debug_assert_eq!(lk.cols(), cols);
             resize_unfilled(&mut scratch.flat, pixels * kf);
-            let (aw, bw) = (scratch.im2col.words(), lk.words());
+            let aw = scratch.im2col.words();
             let work = (pixels * kf * lanes) as u64;
             self.parallel_chunks(&mut scratch.flat[..], kf, 16, work, |first, band| {
                 gemm_rows_into(aw, bw, lanes, cols, kf, first, band);

@@ -6,7 +6,7 @@
 //! [`SequenceBank`] — and derives every other form lazily on first use.
 
 use crate::bank::SequenceBank;
-use crate::engine::{ConvPath, ConvScratch, Engine, KernelForms};
+use crate::engine::{lowered_is_packed, ConvPath, ConvScratch, Engine, KernelForms};
 use crate::layers::sign::RSign;
 use crate::layers::Layer;
 use crate::ops::conv::{conv2d_binary, kernel_position_ones, Conv2dParams};
@@ -26,6 +26,12 @@ use std::sync::OnceLock;
 /// A bank-deployed layer running the memoized path never builds dense
 /// lane words; a packed-deployed layer running the direct path never
 /// builds the flat tensor or the im2col weight matrix.
+///
+/// The im2col weight matrix (`lowered`) exists only for layers whose
+/// input channel count is not a multiple of 64 that run a GEMM lowering
+/// (VggSmall's 8/16/32-channel layers, say). With whole-lane channel
+/// counts the packed lane words already are that matrix, so the engine
+/// reads them directly and no second copy of the weights is built.
 #[derive(Debug, Clone)]
 pub struct BinConv2d {
     filters: usize,
@@ -39,7 +45,8 @@ pub struct BinConv2d {
     packed: OnceLock<PackedKernel>,
     /// Deduplicated sequence table (3×3 only; weight-stationary path).
     bank: OnceLock<SequenceBank>,
-    /// im2col-lowered weight matrix (GEMM lowerings).
+    /// im2col-lowered weight matrix (GEMM lowerings on channel counts
+    /// that do not fill whole lanes; see [`lowered_is_packed`]).
     lowered: OnceLock<PackedMatrix>,
     /// Per-filter, per-position ones counts (direct lowering's padding
     /// closed form).
@@ -161,10 +168,17 @@ impl BinConv2d {
     }
 
     /// The cached im2col-lowered weight matrix (one row per filter,
-    /// `KH*KW*C` position-major columns).
-    pub fn lowered(&self) -> &PackedMatrix {
-        self.lowered
-            .get_or_init(|| im2col_kernel_packed(self.packed()))
+    /// `KH*KW*C` position-major columns), or `None` when the input channel
+    /// count fills whole lanes and [`Self::packed`]'s words already are
+    /// that matrix ([`lowered_is_packed`]).
+    pub fn lowered(&self) -> Option<&PackedMatrix> {
+        if lowered_is_packed(self.channels) {
+            return None;
+        }
+        Some(
+            self.lowered
+                .get_or_init(|| im2col_kernel_packed(self.packed())),
+        )
     }
 
     /// The cached per-filter, per-position ones counts.
@@ -178,7 +192,7 @@ impl BinConv2d {
     pub fn forms(&self) -> KernelForms<'_> {
         KernelForms {
             packed: self.packed(),
-            lowered: Some(self.lowered()),
+            lowered: self.lowered(),
             pad_ones: Some(self.pad_ones()),
         }
     }
@@ -197,7 +211,7 @@ impl BinConv2d {
             },
             Some(ConvPath::Im2col) => KernelForms {
                 packed: self.packed(),
-                lowered: Some(self.lowered()),
+                lowered: self.lowered(),
                 pad_ones: None,
             },
             Some(ConvPath::PointwiseGemm) => KernelForms {
@@ -218,6 +232,12 @@ impl BinConv2d {
     /// Whether the channel-packed lane words have been materialized.
     pub fn has_packed(&self) -> bool {
         self.packed.get().is_some()
+    }
+
+    /// Whether the separate im2col weight matrix has been materialized
+    /// (never for whole-lane channel counts; see [`Self::lowered`]).
+    pub fn has_lowered(&self) -> bool {
+        self.lowered.get().is_some()
     }
 
     /// Convolution hyper-parameters.

@@ -16,6 +16,7 @@
 //! Both store channels along the lane dimension so that a kernel position
 //! word and an activation pixel word line up channel-for-channel.
 
+use crate::bitword::mask;
 use crate::error::{BitnnError, Result};
 use crate::tensor::BitTensor;
 use crate::{lanes_for, LANE_BITS};
@@ -51,31 +52,13 @@ impl PackedKernel {
         }
         let (k, c, kh, kw) = (shape[0], shape[1], shape[2], shape[3]);
         let lanes = lanes_for(c);
-        let positions = kh * kw;
         let src = weights.words();
-        let mut data = vec![0u64; k * positions * lanes];
-        // Word-at-a-time packing: each destination lane (64 channels of one
-        // filter position) is assembled in a register from the channel-major
-        // source — bit (f, ch, p) sits at flat index (f*C + ch)*positions + p,
-        // i.e. stride `positions` per channel — and stored with one write.
-        for f in 0..k {
-            for p in 0..positions {
-                let base = f * c * positions + p;
-                for (l, word) in data[(f * positions + p) * lanes..][..lanes]
-                    .iter_mut()
-                    .enumerate()
-                {
-                    let c0 = l * LANE_BITS;
-                    let nb = (c - c0).min(LANE_BITS);
-                    let mut w = 0u64;
-                    for j in 0..nb {
-                        let bit = base + (c0 + j) * positions;
-                        w |= ((src[bit / 64] >> (bit % 64)) & 1) << j;
-                    }
-                    *word = w;
-                }
-            }
-        }
+        let data = match kh * kw {
+            _ if lanes == 0 => Vec::new(),
+            1 => pack_pointwise(src, k, c, lanes),
+            SEQ_BITS => pack_3x3(src, k, c, lanes),
+            positions => pack_bitwise(src, k, c, positions, lanes),
+        };
         Ok(PackedKernel {
             filters: k,
             channels: c,
@@ -203,6 +186,127 @@ impl PackedKernel {
         }
         t
     }
+}
+
+/// Bits per 3×3 kernel sequence — one per spatial position.
+pub const SEQ_BITS: usize = 9;
+
+/// The `n <= 64` bits of `src` starting at flat bit `off`, low bit first.
+/// Reads past the last word never happen: a field that ends inside
+/// `src`'s bit range touches at most the word holding its last bit.
+#[inline(always)]
+fn bit_field(src: &[u64], off: usize, n: usize) -> u64 {
+    let (i, s) = (off / LANE_BITS, off % LANE_BITS);
+    let mut v = src[i] >> s;
+    if s + n > LANE_BITS {
+        v |= src[i + 1] << (LANE_BITS - s);
+    }
+    v & mask(n)
+}
+
+/// 1×1 kernels: bit `(f, ch)` of the flat tensor is bit `f*C + ch`, so
+/// each lane is one shifted 64-bit read of the source.
+fn pack_pointwise(src: &[u64], k: usize, c: usize, lanes: usize) -> Vec<u64> {
+    let mut data = vec![0u64; k * lanes];
+    for (f, row) in data.chunks_exact_mut(lanes).enumerate() {
+        for (l, word) in row.iter_mut().enumerate() {
+            let c0 = l * LANE_BITS;
+            *word = bit_field(src, f * c + c0, (c - c0).min(LANE_BITS));
+        }
+    }
+    data
+}
+
+/// 9-position kernels: channel `ch` of filter `f` is the 9-bit field at
+/// `(f*C + ch) * 9`, so each group of up to 64 channels is read as 9-bit
+/// sequences and channel-packed by [`transpose_planes`].
+fn pack_3x3(src: &[u64], k: usize, c: usize, lanes: usize) -> Vec<u64> {
+    let mut data = vec![0u64; k * SEQ_BITS * lanes];
+    let mut seqs = [0u16; LANE_BITS];
+    for (f, filter) in data.chunks_exact_mut(SEQ_BITS * lanes).enumerate() {
+        for l in 0..lanes {
+            let c0 = l * LANE_BITS;
+            let nb = (c - c0).min(LANE_BITS);
+            let base = (f * c + c0) * SEQ_BITS;
+            for (j, s) in seqs[..nb].iter_mut().enumerate() {
+                *s = bit_field(src, base + j * SEQ_BITS, SEQ_BITS) as u16;
+            }
+            let planes = transpose_planes(&seqs[..nb]);
+            for (p, &w) in planes.iter().enumerate() {
+                filter[p * lanes + l] = w;
+            }
+        }
+    }
+    data
+}
+
+/// Any other kernel size: bit `(f, ch, p)` sits at flat index
+/// `(f*C + ch)*positions + p`, i.e. stride `positions` per channel, and
+/// each destination lane is gathered one bit at a time.
+fn pack_bitwise(src: &[u64], k: usize, c: usize, positions: usize, lanes: usize) -> Vec<u64> {
+    let mut data = vec![0u64; k * positions * lanes];
+    for f in 0..k {
+        for p in 0..positions {
+            let base = f * c * positions + p;
+            for (l, word) in data[(f * positions + p) * lanes..][..lanes]
+                .iter_mut()
+                .enumerate()
+            {
+                let c0 = l * LANE_BITS;
+                let nb = (c - c0).min(LANE_BITS);
+                let mut w = 0u64;
+                for j in 0..nb {
+                    let bit = base + (c0 + j) * positions;
+                    w |= ((src[bit / 64] >> (bit % 64)) & 1) << j;
+                }
+                *word = w;
+            }
+        }
+    }
+    data
+}
+
+/// Gather bit `bit` of each of the 8 bytes of `x` into one byte (byte `i`
+/// of `x` lands in bit `i`).
+#[inline(always)]
+fn gather_bit(x: u64, bit: u32) -> u64 {
+    ((x >> bit) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Word-parallel 64×9 bit transpose: channel-pack up to 64 9-bit
+/// sequences into nine lane words, bit `j` of word `b` being bit `b` of
+/// `seqs[j]`. Channels past `seqs.len()` stay zero.
+///
+/// The sequences split into low-byte and bit-8 byte arrays, and each word
+/// gathers eight channels' bits at a time with one multiply
+/// (`(x >> b) & 0x0101…01` times `0x0102040810204080`, top byte). Both
+/// [`PackedKernel::pack`] (flat 3×3 weights, bit `b` = position `b`) and
+/// the compressed-stream decoder (bit `8 - b` = position `b`) pack
+/// through it.
+///
+/// # Panics
+///
+/// Panics if `seqs` holds more than 64 sequences.
+#[inline]
+pub fn transpose_planes(seqs: &[u16]) -> [u64; SEQ_BITS] {
+    assert!(seqs.len() <= LANE_BITS, "at most 64 sequences per lane");
+    let mut lo = [0u8; LANE_BITS];
+    let mut hi = [0u8; LANE_BITS];
+    for ((l, h), &s) in lo.iter_mut().zip(&mut hi).zip(seqs) {
+        *l = s as u8;
+        *h = (s >> 8) as u8;
+    }
+    let mut words = [0u64; SEQ_BITS];
+    for (c, (l, h)) in lo.chunks_exact(8).zip(hi.chunks_exact(8)).enumerate() {
+        let l = u64::from_le_bytes(l.try_into().expect("8 bytes"));
+        let h = u64::from_le_bytes(h.try_into().expect("8 bytes"));
+        let shift = 8 * c;
+        for (b, word) in words[..8].iter_mut().enumerate() {
+            *word |= gather_bit(l, b as u32) << shift;
+        }
+        words[8] |= gather_bit(h, 0) << shift;
+    }
+    words
 }
 
 /// Channel-packed binary activations.
@@ -491,6 +595,80 @@ mod tests {
         let pk = PackedKernel::pack(&w).unwrap();
         // 65 channels -> 2 lanes; 2 filters * 9 positions * 2 lanes * 8 bytes.
         assert_eq!(pk.storage_bytes(), 2 * 9 * 2 * 8);
+    }
+
+    /// The per-bit gather over every position count — the reference the
+    /// word-parallel packers are checked against.
+    fn pack_reference(w: &BitTensor) -> Vec<u64> {
+        let s = w.shape();
+        pack_bitwise(w.words(), s[0], s[1], s[2] * s[3], lanes_for(s[1]))
+    }
+
+    /// `pack` agrees word for word with the per-bit reference, unpacks
+    /// back to the source, and leaves lane bits past `C` zero.
+    fn check_pack(w: &BitTensor) {
+        let pk = PackedKernel::pack(w).unwrap();
+        let shape = w.shape();
+        assert_eq!(pk.words(), &pack_reference(w)[..], "{shape:?}");
+        assert_eq!(&pk.unpack(), w, "{shape:?}");
+        let (c, lanes) = (pk.channels(), pk.lanes());
+        let tail = crate::bitword::mask(c - (lanes - 1) * LANE_BITS);
+        for (i, &word) in pk.words().iter().enumerate() {
+            if i % lanes == lanes - 1 {
+                assert_eq!(word & !tail, 0, "{shape:?}: dirty tail in word {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_matches_reference_at_lane_boundaries() {
+        for c in [1usize, 63, 64, 65, 127, 128, 129, 200] {
+            for (kh, kw) in [(1, 1), (3, 3)] {
+                for k in [1usize, 7, 40] {
+                    let seed = (c * 131 + kh * 17 + k) as u64;
+                    check_pack(&random_bits(&[k, c, kh, kw], seed));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_of_all_ones_keeps_tails_clean() {
+        for c in [1usize, 63, 65, 129] {
+            for (kh, kw) in [(1, 1), (3, 3), (1, 9), (2, 2)] {
+                let mut w = BitTensor::zeros(&[3, c, kh, kw]);
+                for i in 0..w.len() {
+                    w.set(i, true);
+                }
+                check_pack(&w);
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_planes_matches_per_bit_scatter() {
+        let seqs: Vec<u16> = (0..64u16).map(|j| (j * 73 + 5) % 512).collect();
+        for n in [0usize, 1, 7, 8, 63, 64] {
+            let mut expect = [0u64; SEQ_BITS];
+            for (j, &seq) in seqs[..n].iter().enumerate() {
+                for (b, word) in expect.iter_mut().enumerate() {
+                    *word |= u64::from((seq >> b) & 1) << j;
+                }
+            }
+            assert_eq!(transpose_planes(&seqs[..n]), expect, "{n} sequences");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn pack_matches_reference_any_shape(
+            k in 1usize..=40, c in 1usize..=200, three in any::<bool>(), seed in any::<u64>()
+        ) {
+            let ks = if three { 3 } else { 1 };
+            check_pack(&random_bits(&[k, c, ks, ks], seed));
+        }
     }
 
     proptest! {

@@ -50,11 +50,12 @@
 //! and a per-symbol limit check. The final "no bits left over" check runs
 //! once the last group is out.
 //!
-//! Each group of decoded sequences is channel-packed by a word-parallel
-//! 64×9 bit transpose: the sequences split into low-byte and bit-8 byte
-//! arrays, and each of the nine lane words gathers eight channels' bits at
-//! a time with one multiply (`(x >> k) & 0x0101…01` times
-//! `0x0102040810204080`, top byte).
+//! Each group of decoded sequences is channel-packed by the word-parallel
+//! 64×9 bit transpose [`bitnn::pack::transpose_planes`] — the same one
+//! [`PackedKernel::pack`] uses on flat weights: the sequences split into
+//! low-byte and bit-8 byte arrays, and each of the nine lane words gathers
+//! eight channels' bits at a time with one multiply
+//! (`(x >> k) & 0x0101…01` times `0x0102040810204080`, top byte).
 //!
 //! The bit-serial [`SimplifiedTree::decode`] over a
 //! [`crate::bitstream::BitReader`] stays separate and untouched: it is
@@ -66,14 +67,14 @@ use crate::container::Container;
 use crate::error::{KcError, Result};
 use crate::huffman::SimplifiedTree;
 use bitnn::bank::{BankBuilder, SequenceBank};
-use bitnn::pack::PackedKernel;
+use bitnn::pack::{transpose_planes, PackedKernel, SEQ_BITS};
 use bitnn::{lanes_for, LANE_BITS};
 
 /// Sequences per full group — one 64-bit lane word's worth of channels.
 pub const SEQS_PER_GROUP: usize = LANE_BITS;
 
 /// Packed words per group: one per 3×3 kernel position.
-pub const WORDS_PER_GROUP: usize = 9;
+pub const WORDS_PER_GROUP: usize = SEQ_BITS;
 
 /// Most nodes a simplified tree can have ([`crate::huffman::TreeConfig`]).
 const MAX_NODES: usize = 8;
@@ -207,34 +208,15 @@ fn window_padded(stream: &[u8], pos: usize) -> u64 {
     u64::from_be_bytes(bytes) << (pos & 7)
 }
 
-/// Gather bit `bit` of each of the 8 bytes of `x` into one byte (byte `i`
-/// of `x` lands in bit `i`).
-#[inline(always)]
-fn gather_bit(x: u64, bit: u32) -> u64 {
-    ((x >> bit) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
-}
-
 /// Channel-pack up to 64 decoded sequences into the nine lane words:
 /// bit `j` of word `p` is bit `8 - p` of `seqs[j]` (natural mapping, MSB
-/// = position (0,0)). Channels past `seqs.len()` stay zero.
+/// = position (0,0)). Channels past `seqs.len()` stay zero. The
+/// transpose itself is the one [`PackedKernel::pack`] uses, which yields
+/// bit planes low bit first; the decoder takes them in reverse.
+#[inline(always)]
 fn transpose(seqs: &[u16]) -> [u64; WORDS_PER_GROUP] {
-    let mut lo = [0u8; SEQS_PER_GROUP];
-    let mut hi = [0u8; SEQS_PER_GROUP];
-    for ((l, h), &s) in lo.iter_mut().zip(&mut hi).zip(seqs) {
-        *l = s as u8;
-        *h = (s >> 8) as u8;
-    }
-    let mut words = [0u64; WORDS_PER_GROUP];
-    for (c, (l, h)) in lo.chunks_exact(8).zip(hi.chunks_exact(8)).enumerate() {
-        let l = u64::from_le_bytes(l.try_into().expect("8 bytes"));
-        let h = u64::from_le_bytes(h.try_into().expect("8 bytes"));
-        let shift = 8 * c;
-        words[0] |= gather_bit(h, 0) << shift;
-        for (p, word) in words.iter_mut().enumerate().skip(1) {
-            *word |= gather_bit(l, (WORDS_PER_GROUP - 1 - p) as u32) << shift;
-        }
-    }
-    words
+    let planes = transpose_planes(seqs);
+    std::array::from_fn(|p| planes[WORDS_PER_GROUP - 1 - p])
 }
 
 /// A forward-only decoder that walks a container's Huffman stream and

@@ -423,3 +423,83 @@ fn streaming_conv_degenerate_geometries_match_oracle() {
         );
     }
 }
+
+/// A packed-deployed 3×3 layer on the pinned im2col lowering: with a
+/// whole-lane channel count (64, 128) the GEMM reads the packed lane
+/// words directly and the separate im2col weight matrix is never built;
+/// with a partial last lane (32, 96) it is built once and cached. Both
+/// stay bit-exact with the scalar oracle, at stride 1 and 2.
+#[test]
+fn im2col_reads_packed_words_when_channels_fill_lanes() {
+    let engine = Engine::new(ExecPolicy {
+        threads: 1,
+        conv: ConvMode::Im2col,
+        ..ExecPolicy::default()
+    });
+    let backend = CpuBackend::new(engine.clone());
+    for c in [64usize, 128, 32, 96] {
+        for stride in [1usize, 2] {
+            let (image, kf) = (6, 24);
+            let seed = (c * 7 + stride) as u64;
+            let stem_w = Tensor::from_vec(&[c, 3, 3, 3], random_floats(c * 27, 1.0, seed)).unwrap();
+            let mut b = GraphBuilder::new("lowered", 3, image);
+            let stem = b.push(
+                "stem",
+                NodeOp::StemConv(QuantConv2d::from_float(
+                    &stem_w,
+                    Conv2dParams { stride: 1, pad: 1 },
+                )),
+                &[0],
+            );
+            let sign = b.push("sign", NodeOp::Sign(RSign::zero(c)), &[stem]);
+            let conv = b.push(
+                "conv",
+                NodeOp::BinConv(BinConv2d::new(
+                    random_kernel(&[kf, c, 3, 3], !seed),
+                    Conv2dParams { stride, pad: 1 },
+                )),
+                &[sign],
+            );
+            let gap = b.push("gap", NodeOp::GlobalAvgPool, &[conv]);
+            b.push(
+                "fc",
+                NodeOp::Classifier(QuantLinear::from_float(
+                    &random_floats(10 * kf, 0.5, seed ^ 0xFC),
+                    10,
+                    kf,
+                )),
+                &[gap],
+            );
+            let mut model = b.finish().unwrap();
+            let packed = PackedKernel::pack(&random_kernel(&[kf, c, 3, 3], seed ^ 0xD)).unwrap();
+            model.set_conv3_packed(0, packed).unwrap();
+
+            let inputs = synthetic_batch(2, 3, image, seed ^ 0x10);
+            let mut state = model.state_for(&backend);
+            for x in &inputs {
+                let mut y = Tensor::default();
+                model.forward_on(&backend, &mut state, x, &mut y).unwrap();
+                let e = model.forward_scalar(x).unwrap();
+                assert_eq!(y.data(), e.data(), "c={c} s={stride}: diverged from scalar");
+            }
+            let batched = model.forward_batch(&inputs, &engine).unwrap();
+            for (x, via_batch) in inputs.iter().zip(&batched) {
+                let e = model.forward_scalar(x).unwrap();
+                assert_eq!(
+                    via_batch.data(),
+                    e.data(),
+                    "c={c} s={stride}: batch diverged"
+                );
+            }
+            let NodeOp::BinConv(layer) = &model.nodes()[conv].op else {
+                unreachable!("node {conv} is the conv");
+            };
+            assert!(layer.has_packed() && !layer.has_dense_weights());
+            assert_eq!(
+                layer.has_lowered(),
+                c % 64 != 0,
+                "c={c} s={stride}: lowered matrix built iff channels leave a partial lane"
+            );
+        }
+    }
+}
