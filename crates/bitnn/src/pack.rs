@@ -275,14 +275,20 @@ fn gather_bit(x: u64, bit: u32) -> u64 {
 
 /// Word-parallel 64×9 bit transpose: channel-pack up to 64 9-bit
 /// sequences into nine lane words, bit `j` of word `b` being bit `b` of
-/// `seqs[j]`. Channels past `seqs.len()` stay zero.
-///
-/// The sequences split into low-byte and bit-8 byte arrays, and each word
-/// gathers eight channels' bits at a time with one multiply
-/// (`(x >> b) & 0x0101…01` times `0x0102040810204080`, top byte). Both
+/// `seqs[j]`. Channels past `seqs.len()` stay zero. Both
 /// [`PackedKernel::pack`] (flat 3×3 weights, bit `b` = position `b`) and
 /// the compressed-stream decoder (bit `8 - b` = position `b`) pack
 /// through it.
+///
+/// Dispatched through [`crate::simd`] like the GEMM kernels, at the
+/// effective [`crate::simd::level`] (after any `BITNN_SIMD` cap; `bnnkc
+/// features` prints it as `simd level`, the perfsuite as `simd_level`):
+/// AVX-512BW narrows the sequences to bytes and tests each plane's bit
+/// across all 64 in one instruction (`vptestmb`), AVX2 reads each plane
+/// off the byte sign bits (`vpmovmskb`), and the portable tier gathers
+/// eight channels' bits at a time with one multiply (`(x >> b) &
+/// 0x0101…01` times `0x0102040810204080`, top byte). All three are
+/// bit-identical.
 ///
 /// # Panics
 ///
@@ -290,6 +296,25 @@ fn gather_bit(x: u64, bit: u32) -> u64 {
 #[inline]
 pub fn transpose_planes(seqs: &[u16]) -> [u64; SEQ_BITS] {
     assert!(seqs.len() <= LANE_BITS, "at most 64 sequences per lane");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if crate::simd::avx512() {
+            // SAFETY: avx512f + avx512bw were detected at runtime.
+            return unsafe { transpose_planes_avx512(seqs) };
+        }
+        if crate::simd::avx2() {
+            // SAFETY: avx2 was detected at runtime.
+            return unsafe { transpose_planes_avx2(seqs) };
+        }
+    }
+    transpose_planes_portable(seqs)
+}
+
+/// Portable tier of [`transpose_planes`] and the reference its SIMD
+/// tiers are tested against: the multiply-gather over low-byte and
+/// bit-8 byte arrays.
+#[inline(always)]
+fn transpose_planes_portable(seqs: &[u16]) -> [u64; SEQ_BITS] {
     let mut lo = [0u8; LANE_BITS];
     let mut hi = [0u8; LANE_BITS];
     for ((l, h), &s) in lo.iter_mut().zip(&mut hi).zip(seqs) {
@@ -306,6 +331,97 @@ pub fn transpose_planes(seqs: &[u16]) -> [u64; SEQ_BITS] {
         }
         words[8] |= gather_bit(h, 0) << shift;
     }
+    words
+}
+
+/// AVX-512BW tier of [`transpose_planes`]: the sequences load as two
+/// 32 × 16-bit vectors (masked, so lanes past the length read as zero and
+/// touch no memory) and narrow (`vpmovwb`) to one 64-byte vector of low
+/// bytes and one of high bytes; plane `b` is then one `vptestmb` against
+/// `1 << b`, whose 64-bit mask is the lane word. (Testing the 16-bit lanes
+/// directly takes two tests and a merge per plane, and ran ~1.6x slower.)
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512BW; `seqs.len() <= 64`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn transpose_planes_avx512(seqs: &[u16]) -> [u64; SEQ_BITS] {
+    use std::arch::x86_64::*;
+    let n = seqs.len();
+    let at = seqs.as_ptr().cast::<i16>();
+    let first = |k: usize| if k >= 32 { u32::MAX } else { (1u32 << k) - 1 };
+    let v0 = _mm512_maskz_loadu_epi16(first(n), at);
+    let v1 = if n > 32 {
+        _mm512_maskz_loadu_epi16(first(n - 32), at.add(32))
+    } else {
+        _mm512_setzero_si512()
+    };
+    let narrow = |a: __m512i, b: __m512i| {
+        _mm512_inserti64x4::<1>(
+            _mm512_castsi256_si512(_mm512_cvtepi16_epi8(a)),
+            _mm512_cvtepi16_epi8(b),
+        )
+    };
+    let low = narrow(v0, v1);
+    let high = narrow(_mm512_srli_epi16::<8>(v0), _mm512_srli_epi16::<8>(v1));
+    std::array::from_fn(|b| match b {
+        8 => _mm512_test_epi8_mask(high, _mm512_set1_epi8(1)),
+        _ => _mm512_test_epi8_mask(low, _mm512_set1_epi8((1u8 << b) as i8)),
+    })
+}
+
+/// AVX2 tier of [`transpose_planes`]: the sequences narrow to two 32-byte
+/// vectors of low bytes (`vpackuswb`, lane order restored by
+/// `vpermq`), and each of planes 7..0 is one `vpmovmskb` of the byte sign
+/// bits, doubling the bytes between planes to bring the next bit up.
+/// Plane 8 is the sign bit of each sequence shifted left by 7, narrowed
+/// with signed saturation.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `seqs.len() <= 64`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_planes_avx2(seqs: &[u16]) -> [u64; SEQ_BITS] {
+    use std::arch::x86_64::*;
+    let mut padded = [0u16; LANE_BITS];
+    let full: &[u16; LANE_BITS] = match seqs.try_into() {
+        Ok(full) => full,
+        Err(_) => {
+            padded[..seqs.len()].copy_from_slice(seqs);
+            &padded
+        }
+    };
+    let at = full.as_ptr().cast::<__m256i>();
+    let v: [__m256i; 4] = std::array::from_fn(|i| _mm256_loadu_si256(at.add(i)));
+    // `vpack*` interleaves 128-bit halves; `vpermq` puts them back in
+    // sequence order.
+    let order = |x: __m256i| _mm256_permute4x64_epi64::<0b11_01_10_00>(x);
+    let low = _mm256_set1_epi16(0xFF);
+    let bytes = |a: __m256i, b: __m256i| {
+        order(_mm256_packus_epi16(
+            _mm256_and_si256(a, low),
+            _mm256_and_si256(b, low),
+        ))
+    };
+    let top = |a: __m256i, b: __m256i| {
+        order(_mm256_packs_epi16(
+            _mm256_slli_epi16::<7>(a),
+            _mm256_slli_epi16::<7>(b),
+        ))
+    };
+    let sign = |x: __m256i, y: __m256i| {
+        u64::from(_mm256_movemask_epi8(x) as u32) | u64::from(_mm256_movemask_epi8(y) as u32) << 32
+    };
+    let (mut x, mut y) = (bytes(v[0], v[1]), bytes(v[2], v[3]));
+    let mut words = [0u64; SEQ_BITS];
+    for b in (0..8).rev() {
+        words[b] = sign(x, y);
+        x = _mm256_add_epi8(x, x);
+        y = _mm256_add_epi8(y, y);
+    }
+    words[8] = sign(top(v[0], v[1]), top(v[2], v[3]));
     words
 }
 
@@ -645,17 +761,70 @@ mod tests {
         }
     }
 
+    type Transpose = fn(&[u16]) -> [u64; SEQ_BITS];
+
+    /// Every instantiation of [`transpose_planes`] this CPU can run,
+    /// whatever `BITNN_SIMD` caps the dispatcher to.
+    fn transpose_tiers() -> Vec<(&'static str, Transpose)> {
+        let mut tiers: Vec<(&'static str, Transpose)> =
+            vec![("portable", |s| transpose_planes_portable(s))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: avx2 was just detected.
+                tiers.push(("avx2", |s| unsafe { transpose_planes_avx2(s) }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+            {
+                // SAFETY: avx512f + avx512bw were just detected.
+                tiers.push(("avx512", |s| unsafe { transpose_planes_avx512(s) }));
+            }
+        }
+        tiers.push(("dispatched", transpose_planes));
+        tiers
+    }
+
     #[test]
     fn transpose_planes_matches_per_bit_scatter() {
-        let seqs: Vec<u16> = (0..64u16).map(|j| (j * 73 + 5) % 512).collect();
-        for n in [0usize, 1, 7, 8, 63, 64] {
-            let mut expect = [0u64; SEQ_BITS];
-            for (j, &seq) in seqs[..n].iter().enumerate() {
-                for (b, word) in expect.iter_mut().enumerate() {
-                    *word |= u64::from((seq >> b) & 1) << j;
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let random: Vec<u16> = (0..LANE_BITS)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (s >> 55) as u16
+            })
+            .collect();
+        let mut inputs = vec![random, vec![0x1FF; LANE_BITS]];
+        // One set bit: every plane against every lane position.
+        for b in 0..SEQ_BITS {
+            for j in [0usize, 1, 7, 8, 31, 32, 33, 63] {
+                let mut one = vec![0u16; LANE_BITS];
+                one[j] = 1 << b;
+                inputs.push(one);
+            }
+        }
+        for (name, tier) in transpose_tiers() {
+            for seqs in &inputs {
+                for n in 0..=LANE_BITS {
+                    let mut expect = [0u64; SEQ_BITS];
+                    for (j, &seq) in seqs[..n].iter().enumerate() {
+                        for (b, word) in expect.iter_mut().enumerate() {
+                            *word |= u64::from((seq >> b) & 1) << j;
+                        }
+                    }
+                    let got = tier(&seqs[..n]);
+                    assert_eq!(got, expect, "{name}: {n} sequences of {seqs:?}");
+                    for (b, w) in got.iter().enumerate() {
+                        assert_eq!(
+                            w & !crate::bitword::mask(n),
+                            0,
+                            "{name}: lane past {n} in plane {b}"
+                        );
+                    }
                 }
             }
-            assert_eq!(transpose_planes(&seqs[..n]), expect, "{n} sequences");
         }
     }
 

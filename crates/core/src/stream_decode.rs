@@ -19,43 +19,67 @@
 //!
 //! # Table-driven symbol core
 //!
-//! Like the hardware unit, the decoder resolves a whole codeword in one
-//! step instead of one bit at a time. Per record it builds small tables
-//! from the [`SimplifiedTree`]: per node the code length, index width,
-//! table length and offset into one flat table of every node's sequences
-//! (at most 512 entries — no `2^maxlen` lookup table, which at the
-//! container's 23-bit maximum code length would be megabytes). One symbol
-//! step is then:
+//! Like the hardware unit, the decoder resolves whole codewords per step
+//! instead of one bit at a time. Bits are read through a 64-bit
+//! big-endian **window**: the 8 bytes at `pos / 8` with the `pos % 8`
+//! bits already consumed shifted out, which leaves at least 57 valid
+//! bits.
 //!
-//! 1. load a 64-bit big-endian **window** at byte `pos / 8` and shift out
-//!    the `pos % 8` bits already consumed, leaving at least 57 valid bits
-//!    — more than any legal codeword;
-//! 2. the **node** is the window's count of leading ones (the chain tree's
+//! Per record it builds a **12-bit two-symbol table** from the
+//! [`SimplifiedTree`], after the double-symbol tables of zstd's
+//! `HUF_decompress4X2`. Entry `w` of its 4096 `u32`s describes every
+//! window whose top 12 bits are `w`: the first codeword's sequence and
+//! length, and — when a second whole codeword fits in the bits left
+//! over — the second's sequence, a count of 1 or 2, and the total length.
+//! The table is filled by walking the codewords (each code of at most 12
+//! bits owns the `2^(12 - len)` entries it prefixes), never by decoding
+//! all 4096 windows. The paper's tree (6/8/9/12-bit codes) fits entirely:
+//! every one-codeword step is one load, and a 6-bit code followed by
+//! another takes both in that load.
+//!
+//! Entry `0` is the **escape**: the first codeword is longer than 12 bits
+//! (a widened last node, or custom capacities) or the bits are corrupt.
+//! It falls back to the per-node step, built from small per-node tables —
+//! code length, index width, table length and offset into one flat table
+//! of every node's sequences (at most 512 entries):
+//!
+//! 1. the **node** is the window's count of leading ones (the chain tree's
 //!    prefix is `node` ones then a zero); a count at or past the node
 //!    count is corrupt;
-//! 3. the **index** is the next `index_bits[node]` bits; an index at or
+//! 2. the **index** is the next `index_bits[node]` bits; an index at or
 //!    past the node's table length is corrupt;
-//! 4. shift the codeword out of the window and advance `pos` by the
+//! 3. shift the codeword out of the window and advance `pos` by the
 //!    node's code length.
 //!
-//! One window serves as many codewords as it always holds (`57 /` the
-//! longest code length), and code lengths sit one byte per node in a
-//! single `u64`, so the loop-carried chain — leading ones, length, shift
-//! — never waits on a memory load.
+//! Corrupt bits are never resolved by the table, so they reach this step
+//! and fail with exactly the errors a per-node decoder reports.
+//!
+//! **Why one window serves `57 / max(12, max_len)` lookups.** A table
+//! lookup consumes at most 12 bits and reads 12; an escape consumes and
+//! reads at most the longest code length `max_len`. So with
+//! `M = max(12, max_len)`, lookup `k` (from 0) starts at most `k·M` bits
+//! into the window and reads no further than `(k + 1)·M ≤ 57`, inside
+//! the valid bits.
+//!
+//! The loop always writes both slots of an entry into a 65-slot buffer,
+//! so a count-2 lookup at a group's last sequence writes one slot past
+//! the group; it then steps `pos` back over that second codeword, which
+//! the next group decodes again.
 //!
 //! Bounds are checked once per group: when every codeword of the group
 //! fits before the stream limit at the longest code length and the last
-//! 8-byte load stays inside the slice, the group runs unchecked; groups
-//! near the end of the stream take a checked path with a zero-padded load
-//! and a per-symbol limit check. The final "no bits left over" check runs
-//! once the last group is out.
+//! 8-byte load stays inside the slice, the group runs unchecked (every
+//! window starts at one of the group's codewords, so before that bound;
+//! the bits a final overshooting lookup reads lie inside the same
+//! window); groups near the end of the stream take a checked path with a
+//! zero-padded load, a per-symbol limit check and the per-node step. The
+//! final "no bits left over" check runs once the last group is out.
 //!
-//! Each group of decoded sequences is channel-packed by the word-parallel
-//! 64×9 bit transpose [`bitnn::pack::transpose_planes`] — the same one
-//! [`PackedKernel::pack`] uses on flat weights: the sequences split into
-//! low-byte and bit-8 byte arrays, and each of the nine lane words gathers
-//! eight channels' bits at a time with one multiply
-//! (`(x >> k) & 0x0101…01` times `0x0102040810204080`, top byte).
+//! Each group of decoded sequences is channel-packed by the 64×9 bit
+//! transpose [`bitnn::pack::transpose_planes`] — the same one
+//! [`PackedKernel::pack`] uses on flat weights, dispatched by
+//! [`bitnn::simd`] to an AVX-512BW, AVX2 or portable multiply-gather
+//! instantiation at the effective [`bitnn::simd::level`].
 //!
 //! The bit-serial [`SimplifiedTree::decode`] over a
 //! [`crate::bitstream::BitReader`] stays separate and untouched: it is
@@ -83,6 +107,13 @@ const MAX_NODES: usize = 8;
 /// window always holds one.
 const MAX_CODE_LEN: u32 = 32;
 
+/// Window bits the two-symbol table is indexed by: the longest code the
+/// table resolves, and the most two codes it resolves take together.
+const TABLE_BITS: u32 = 12;
+
+/// Valid bits a window holds after shifting out a partly consumed byte.
+const WINDOW_BITS: u32 = 57;
+
 /// One channel-packed group of decoded sequences: the nine lane words the
 /// paper's packing unit hands the compute pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +128,64 @@ pub struct PackedGroup {
     /// the natural mapping, MSB = position (0,0)) of channel
     /// `lane*64 + j`'s sequence.
     pub words: [u64; WORDS_PER_GROUP],
+}
+
+/// One two-symbol table entry, packed in a `u32`:
+///
+/// | bits   | field                                           |
+/// |--------|-------------------------------------------------|
+/// | 0..6   | total length of the entry's codewords (≤ 12)    |
+/// | 6..10  | length of the first codeword                    |
+/// | 10..12 | codewords resolved: 1 or 2                      |
+/// | 12..21 | first sequence                                  |
+/// | 21..30 | second sequence (0 when only one)               |
+///
+/// The total sits in the low bits so shifting the window by the raw entry
+/// shifts out exactly its codewords ([`Entry::shift_out`]). Entry
+/// `0` resolves nothing: the window's first codeword is longer than 12
+/// bits or corrupt, and [`DecodeTables::symbol`] takes over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry(u32);
+
+impl Entry {
+    const ESCAPE: Entry = Entry(0);
+
+    fn new(first: (u16, u32), second: Option<(u16, u32)>) -> Self {
+        let (seq1, len1) = first;
+        let (seq2, len2, count) = second.map_or((0, 0, 1), |(s, l)| (s, l, 2));
+        Entry(
+            (len1 + len2) | len1 << 6 | count << 10 | u32::from(seq1) << 12 | u32::from(seq2) << 21,
+        )
+    }
+
+    /// Bits the entry's codewords take together.
+    #[inline(always)]
+    fn total(self) -> u32 {
+        self.0 & 0x3F
+    }
+
+    /// `bits` with the entry's codewords shifted out: the total is the
+    /// low six bits, which is all a 64-bit shift reads.
+    #[inline(always)]
+    fn shift_out(self, bits: u64) -> u64 {
+        bits.wrapping_shl(self.0)
+    }
+
+    /// Bits of the second codeword (0 when there is none).
+    #[inline(always)]
+    fn second_len(self) -> u32 {
+        self.total() - (self.0 >> 6 & 0xF)
+    }
+
+    #[inline(always)]
+    fn count(self) -> usize {
+        (self.0 >> 10 & 3) as usize
+    }
+
+    #[inline(always)]
+    fn seqs(self) -> [u16; 2] {
+        [(self.0 >> 12) as u16 & 0x1FF, (self.0 >> 21) as u16 & 0x1FF]
+    }
 }
 
 /// Decode parameters of one tree node — the hardware's uncompressed-table
@@ -118,15 +207,16 @@ struct DecodeTables {
     nodes: u32,
     /// Longest code length over all nodes (the per-group bound).
     max_len: usize,
-    /// Code length of node `i` in byte `i` — the hardware's length table,
-    /// read with a shift so the loop-carried length never waits on a
-    /// memory load.
+    /// Code length of node `i` in byte `i` — the hardware's length table.
     lens: u64,
-    /// Codewords one window always holds: `57 / max_len`.
-    per_window: usize,
+    /// Table lookups one window always serves:
+    /// `57 / max(12, max_len)`.
+    lookups: usize,
     entries: [NodeEntry; MAX_NODES],
     /// Every node's sequences, node-major in index order.
     flat: Vec<u16>,
+    /// The two-symbol table, indexed by the window's top 12 bits.
+    pairs: Box<[Entry; 1 << TABLE_BITS]>,
 }
 
 impl DecodeTables {
@@ -152,13 +242,28 @@ impl DecodeTables {
             max_len = max_len.max(len as usize);
             flat.extend(table.iter().map(|s| s.value()));
         }
+        // The codes that fit the table, per node: `(code, length,
+        // sequences)`, the code of index 0 in the low `length` bits.
+        let short: Vec<(u32, u32, &[u16])> = (0..nodes)
+            .filter_map(|node| {
+                let len = (lens >> (8 * node)) as u8 as u32;
+                let e = entries[node];
+                let prefix = ((1u32 << node) - 1) << 1;
+                (len <= TABLE_BITS).then(|| {
+                    let seqs = &flat[e.offset as usize..][..e.table_len as usize];
+                    (prefix << (len - node as u32 - 1), len, seqs)
+                })
+            })
+            .collect();
+        let pairs = pair_table(&short);
         DecodeTables {
             nodes: nodes as u32,
             max_len,
             lens,
-            per_window: 57 / max_len,
+            lookups: (WINDOW_BITS / TABLE_BITS.max(max_len as u32)) as usize,
             entries,
             flat,
+            pairs,
         }
     }
 
@@ -177,6 +282,41 @@ impl DecodeTables {
         }
         Ok((self.flat[(e.offset + idx) as usize], len))
     }
+
+    /// The two-symbol table entry for the top 12 bits of `window`.
+    #[inline(always)]
+    fn lookup(&self, window: u64) -> Entry {
+        self.pairs[(window >> (64 - TABLE_BITS)) as usize]
+    }
+}
+
+/// Build the two-symbol table by walking the codewords of at most 12
+/// bits (`(code, length, sequences)` per node): each code owns the
+/// `2^(12 - length)` entries it prefixes, first as a one-symbol entry,
+/// then, for every code that fits the bits left over, the sub-range that
+/// code prefixes as a two-symbol entry. Codes form a prefix code, so no
+/// two writes of one pass overlap; entries no code prefixes stay escapes.
+fn pair_table(short: &[(u32, u32, &[u16])]) -> Box<[Entry; 1 << TABLE_BITS]> {
+    let mut pairs: Box<[Entry; 1 << TABLE_BITS]> = vec![Entry::ESCAPE; 1 << TABLE_BITS]
+        .into_boxed_slice()
+        .try_into()
+        .expect("table size");
+    for &(base1, len1, seqs1) in short {
+        let rest = TABLE_BITS - len1;
+        for (i1, &seq1) in seqs1.iter().enumerate() {
+            let at = ((base1 | i1 as u32) << rest) as usize;
+            pairs[at..at + (1 << rest)].fill(Entry::new((seq1, len1), None));
+            for &(base2, len2, seqs2) in short.iter().filter(|c| c.1 <= rest) {
+                let tail = rest - len2;
+                for (i2, &seq2) in seqs2.iter().enumerate() {
+                    let sub = at + ((base2 | i2 as u32) << tail) as usize;
+                    pairs[sub..sub + (1 << tail)]
+                        .fill(Entry::new((seq1, len1), Some((seq2, len2))));
+                }
+            }
+        }
+    }
+    pairs
 }
 
 #[cold]
@@ -207,6 +347,10 @@ fn window_padded(stream: &[u8], pos: usize) -> u64 {
     bytes[..n].copy_from_slice(&tail[..n]);
     u64::from_be_bytes(bytes) << (pos & 7)
 }
+
+/// A group's decode buffer: 64 sequences plus the spare slot a two-symbol
+/// lookup may write past the group.
+type GroupBuf = [u16; SEQS_PER_GROUP + 1];
 
 /// Channel-pack up to 64 decoded sequences into the nine lane words:
 /// bit `j` of word `p` is bit `8 - p` of `seqs[j]` (natural mapping, MSB
@@ -289,28 +433,54 @@ impl<'a> GroupDecoder<'a> {
         (self.channels - lane * LANE_BITS).min(SEQS_PER_GROUP)
     }
 
-    /// Decode the next `out.len()` codewords into `out` — the one symbol
-    /// loop every collector runs. The position only advances on success.
-    fn decode_run(&mut self, out: &mut [u16]) -> Result<()> {
+    /// Decode the next `n` codewords into `buf[..n]` — the one symbol loop
+    /// every collector runs. `buf[n]` may be overwritten. The position
+    /// only advances on success.
+    fn decode_run(&mut self, buf: &mut GroupBuf, n: usize) -> Result<()> {
         let t = &self.tables;
         let stream = self.stream;
         let limit = self.limit;
         let mut pos = self.pos;
-        let bound = pos + out.len() * t.max_len;
+        let bound = pos + n * t.max_len;
         if bound <= limit && bound / 8 + 8 <= stream.len() {
-            // Every codeword ends before `bound`, so every load and every
-            // consumed bit is in range: no per-symbol checks.
-            for chunk in out.chunks_mut(t.per_window) {
+            // Every codeword of the group ends before `bound`, so every
+            // window load is in range and no per-symbol checks are due.
+            // A lookup starts at most `max(12, max_len)` bits after the
+            // last, so `lookups` of them stay inside the window's 57
+            // valid bits.
+            let mut i = 0;
+            while i < n {
                 let mut bits = window(stream, pos);
-                for s in chunk {
-                    let (seq, len) = t.symbol(bits)?;
-                    *s = seq;
-                    bits <<= len;
-                    pos += len as usize;
+                for _ in 0..t.lookups {
+                    let e = t.lookup(bits);
+                    if e == Entry::ESCAPE {
+                        let (seq, len) = t.symbol(bits)?;
+                        buf[i] = seq;
+                        i += 1;
+                        bits <<= len;
+                        pos += len as usize;
+                    } else {
+                        // Both slots are written whatever the count;
+                        // `buf` has one spare past the group.
+                        let [seq1, seq2] = e.seqs();
+                        buf[i] = seq1;
+                        buf[i + 1] = seq2;
+                        i += e.count();
+                        bits = e.shift_out(bits);
+                        pos += e.total() as usize;
+                    }
+                    if i >= n {
+                        if i > n {
+                            // The last lookup also took the next group's
+                            // first codeword: give its bits back.
+                            pos -= e.second_len() as usize;
+                        }
+                        break;
+                    }
                 }
             }
         } else {
-            for s in out.iter_mut() {
+            for s in &mut buf[..n] {
                 if pos >= limit {
                     return Err(corrupt("unexpected end of stream"));
                 }
@@ -358,8 +528,8 @@ impl<'a> GroupDecoder<'a> {
         }
         let (filter, lane) = (self.next / self.lanes, self.next % self.lanes);
         let seqs = self.next_group_len();
-        let mut buf = [0u16; SEQS_PER_GROUP];
-        self.decode_run(&mut buf[..seqs])?;
+        let mut buf: GroupBuf = [0; SEQS_PER_GROUP + 1];
+        self.decode_run(&mut buf, seqs)?;
         self.next += 1;
         Ok(Some(PackedGroup {
             filter,
@@ -416,10 +586,10 @@ impl<'a> GroupDecoder<'a> {
             ));
         }
         let mut builder = BankBuilder::new(self.filters, self.channels);
-        let mut buf = [0u16; SEQS_PER_GROUP];
+        let mut buf: GroupBuf = [0; SEQS_PER_GROUP + 1];
         while self.next < self.num_groups() {
             let seqs = self.next_group_len();
-            self.decode_run(&mut buf[..seqs])?;
+            self.decode_run(&mut buf, seqs)?;
             for &seq in &buf[..seqs] {
                 builder
                     .push(seq)
@@ -571,6 +741,112 @@ mod tests {
         let mut dec = decoder_for(&ck);
         dec.decode_next().unwrap();
         assert!(dec.collect_bank().is_err());
+    }
+
+    /// Every entry of the two-symbol table must be what two successive
+    /// bit-serial decodes of the same 12 bits give, and an escape exactly
+    /// when the first code is over 12 bits or invalid (then the bit-serial
+    /// decode of 12 bits fails too). Returns how many entries resolve no,
+    /// one and two codewords.
+    fn check_pair_table(tree: &SimplifiedTree, what: &str) -> [usize; 3] {
+        use crate::bitstream::BitReader;
+        let t = DecodeTables::new(tree);
+        let mut kinds = [0usize; 3];
+        for w in 0..1u32 << TABLE_BITS {
+            let bytes = ((w << (16 - TABLE_BITS)) as u16).to_be_bytes();
+            let mut r = BitReader::with_limit(&bytes, TABLE_BITS as usize);
+            let e = t.pairs[w as usize];
+            let Ok(first) = tree.decode(&mut r) else {
+                assert_eq!(e, Entry::ESCAPE, "{what}: {w:012b} resolves no code");
+                kinds[0] += 1;
+                continue;
+            };
+            assert_ne!(e, Entry::ESCAPE, "{what}: {w:012b} escapes a short code");
+            let len1 = r.position() as u32;
+            assert_eq!(e.seqs()[0], first.value(), "{what}: {w:012b} first");
+            assert_eq!(e.total() - e.second_len(), len1, "{what}: {w:012b} len1");
+            match tree.decode(&mut r) {
+                Ok(second) => {
+                    assert_eq!(e.count(), 2, "{what}: {w:012b} count");
+                    assert_eq!(e.seqs()[1], second.value(), "{what}: {w:012b} second");
+                    assert_eq!(e.total() as usize, r.position(), "{what}: {w:012b} total");
+                }
+                Err(_) => {
+                    assert_eq!(e.count(), 1, "{what}: {w:012b} count");
+                    assert_eq!((e.total(), e.seqs()[1]), (len1, 0), "{what}: {w:012b}");
+                }
+            }
+            kinds[e.count()] += 1;
+        }
+        kinds
+    }
+
+    /// 512 sequences in a seeded random ranking, the first `n` of them.
+    fn ranked(n: usize, rng: &mut StdRng) -> Vec<crate::BitSeq> {
+        use rand::Rng;
+        let mut all: Vec<u16> = (0..512).collect();
+        for i in 0..n {
+            let j = rng.random_range(i..512);
+            all.swap(i, j);
+        }
+        all[..n]
+            .iter()
+            .map(|&v| crate::BitSeq::new(v).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn pair_table_matches_two_bit_serial_decodes() {
+        use crate::huffman::TreeConfig;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        let mut seen = [0usize; 3];
+        let mut add = |kinds: [usize; 3]| {
+            for (s, k) in seen.iter_mut().zip(kinds) {
+                *s += k;
+            }
+        };
+        // The paper tree: full tables but the last node widened to 13-bit
+        // codes, and partly filled tables with invalid indices.
+        for n in [1usize, 32, 100, 416, 512] {
+            let tree = SimplifiedTree::from_ranked(&ranked(n, &mut rng), TreeConfig::paper());
+            add(check_pair_table(&tree, &format!("paper, {n} sequences")));
+        }
+        // The clustered codec's tree on a skewed kernel.
+        let kernel = SeqDistribution::for_block(2, 0).sample_kernel(64, 64, &mut rng);
+        let ck = KernelCodec::paper_clustered().compress(&kernel).unwrap();
+        add(check_pair_table(ck.tree(), "clustered"));
+        for case in 0..60 {
+            let nodes = rng.random_range(2..=8usize);
+            // Every other case keeps every code under 12 bits; the rest
+            // reach 8 + 15 = 23.
+            let short = case % 2 == 0;
+            let caps: Vec<usize> = (0..nodes)
+                .map(|i| {
+                    let most = if short { 10 - i as u32 } else { 15 };
+                    1usize << rng.random_range(0..=most)
+                })
+                .collect();
+            let config = TreeConfig::with_capacities(caps.clone()).unwrap();
+            let room = if short {
+                config.total_capacity().min(512)
+            } else {
+                512
+            };
+            let n = rng.random_range(1..=room);
+            let tree = SimplifiedTree::from_ranked(&ranked(n, &mut rng), config);
+            if short {
+                assert!(tree.length_table().iter().all(|&l| l < 12), "{caps:?}");
+            }
+            add(check_pair_table(
+                &tree,
+                &format!("capacities {caps:?}, {n} sequences"),
+            ));
+        }
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "escape/one/two entries: {seen:?}"
+        );
     }
 
     #[test]
